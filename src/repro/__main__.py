@@ -35,7 +35,8 @@ Options::
     --threat-scale 0.02    kernel scale for Threat Analysis (default 0.02)
     --terrain-scale 0.05   kernel scale for Terrain Masking (default 0.05)
     --jobs/-j N            worker processes for all/report (default: CPUs)
-    --profile              per-experiment wall time + cache hits/misses
+    --profile              per-experiment CPU time + cache hits/misses,
+                           and the end-to-end wall
 
 Simulation results persist in ``.repro_cache/`` (override with
 ``REPRO_CACHE_DIR``; disable with ``REPRO_NO_CACHE=1``), so repeated
@@ -50,6 +51,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+import time
 
 from repro.harness import BenchmarkData, list_experiments, run_experiment
 from repro.harness.calibration import (
@@ -82,8 +84,8 @@ def _build_parser() -> argparse.ArgumentParser:
                        metavar="N",
                        help="worker processes (default: CPU count)")
         p.add_argument("--profile", action="store_true",
-                       help="print per-experiment wall time and cache "
-                            "hit/miss counts")
+                       help="print per-experiment CPU time, cache "
+                            "hit/miss counts and the end-to-end wall")
     all_p.add_argument("--metrics", action="store_true",
                        help="print per-experiment simulation rollups "
                             "(regions, wall split, lock contention)")
@@ -303,10 +305,12 @@ def _cmd_all(data: BenchmarkData, jobs: int | None, profile: bool,
         run_experiments,
     )
 
+    t0 = time.perf_counter()
     results, profiles = run_experiments(
         threat_scale=data.threat_scale, terrain_scale=data.terrain_scale,
         jobs=jobs, data=data,
         cell_sink=run.cell_sink if run is not None else None)
+    wall = time.perf_counter() - t0
     status = 0
     for result in results.values():
         print(result.render())
@@ -314,7 +318,7 @@ def _cmd_all(data: BenchmarkData, jobs: int | None, profile: bool,
         if not result.all_checks_pass():
             status = 1
     if profile:
-        print(render_profile(profiles))
+        print(render_profile(profiles, wall))
     if metrics:
         print(render_metrics(profiles))
     if metrics_json is not None:
@@ -359,8 +363,6 @@ def _cmd_trace(experiment_id: str, data: BenchmarkData,
 
 def _cmd_report(threat_scale: float, terrain_scale: float,
                 jobs: int | None, profile: bool, run=None) -> int:
-    import time
-
     from repro.harness.report import generate_with_results
 
     t0 = time.perf_counter()

@@ -457,7 +457,7 @@ def cmd_show(prefix: str) -> int:
               f"regions c/d {stats['cohort_regions']:.0f}/"
               f"{stats['des_regions']:.0f}, "
               f"closed {stats['closed_form_regions']:.0f}, "
-              f"queue-solved {stats['queue_solver_regions']:.0f}")
+              f"queue-kernel {stats['queue_solver_regions']:.0f}")
     if cells:
         print(f"\n{len(cells)} cells (artifact: "
               f"{os.path.join(runs_root(), run_id, 'cells.jsonl')}):")

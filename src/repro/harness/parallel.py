@@ -31,11 +31,12 @@ Without a cache (``REPRO_NO_CACHE``, or an active tracer) cells cannot
 be transported between processes and the scheduler falls back to
 classic per-experiment tasks.
 
-``run_experiments`` also collects a per-experiment profile (wall time
-and cache hit/miss counts) for the CLI's ``--profile`` flag.  Under
-cell scheduling an experiment is charged the cells *it* planned first
-(wall and misses), plus its own plan and replay time; hits are the
-replay's cache reads.
+``run_experiments`` also collects a per-experiment profile (time and
+cache hit/miss counts) for the CLI's ``--profile`` flag.  Under cell
+scheduling an experiment is charged the cells *it* planned first (time
+and misses), plus its own plan and replay time; hits are the replay's
+cache reads.  Times are taken in the process that did the work, so
+under ``-j`` they sum worker CPU-seconds, not elapsed wall.
 
 The pool path is crash-resilient at task granularity: a worker dying
 mid-task (a real segfault/OOM kill, or an injected fault -- see
@@ -944,16 +945,20 @@ def render_metrics(profiles: list[ExperimentProfile]) -> str:
     return "\n".join(lines)
 
 
-def render_profile(profiles: list[ExperimentProfile]) -> str:
-    """The ``--profile`` table (per-experiment wall + cache traffic).
+def render_profile(profiles: list[ExperimentProfile],
+                   wall_seconds: Optional[float] = None) -> str:
+    """The ``--profile`` table (per-experiment time + cache traffic).
 
-    Under cell-granular scheduling an experiment's wall is its plan +
+    Under cell-granular scheduling an experiment's time is its plan +
     the cells it was first to request + its replay; misses are counted
     where the simulation was actually computed, hits are the replay's
-    cache reads.
+    cache reads.  The time is measured in whichever process did the
+    work, so under ``-j`` the column adds up the workers' CPU-seconds
+    and its total exceeds the elapsed time; ``wall_seconds``, the pass's
+    true end-to-end wall, is printed as the last line when given.
     """
     lines = [
-        f"{'experiment':<26} {'wall (s)':>9} {'cache hits':>11} "
+        f"{'experiment':<26} {'cpu (s)':>9} {'cache hits':>11} "
         f"{'misses':>7}",
         "-" * 56,
     ]
@@ -965,4 +970,6 @@ def render_profile(profiles: list[ExperimentProfile]) -> str:
         f"{'total':<26} {sum(p.wall_seconds for p in profiles):>9.2f} "
         f"{sum(p.cache_hits for p in profiles):>11d} "
         f"{sum(p.cache_misses for p in profiles):>7d}")
+    if wall_seconds is not None:
+        lines.append(f"{'end-to-end wall (s)':<26} {wall_seconds:>9.2f}")
     return "\n".join(lines)

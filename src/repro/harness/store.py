@@ -295,7 +295,9 @@ def _model_source_files(root: str) -> Iterator[str]:
 
     Exposed separately from the hashing so tests can assert that a
     given file *is* covered (e.g. the cohort compilers, whose output
-    the DES path never checks at runtime).
+    the DES path never checks at runtime).  C sources count too: the
+    compiled work-queue loop (``des/queue_kernel.c``) decides results
+    just as the Python modules do.
 
     The walk recurses into nested subpackages: a model package that
     grows a subdirectory must feed the epoch hash too, or entries
@@ -310,7 +312,7 @@ def _model_source_files(root: str) -> Iterator[str]:
             dirnames[:] = sorted(d for d in dirnames
                                  if d != "__pycache__")
             for name in sorted(filenames):
-                if name.endswith(".py"):
+                if name.endswith((".py", ".c")):
                     yield os.path.join(dirpath, name)
 
 

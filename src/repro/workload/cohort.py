@@ -43,9 +43,9 @@ def cohort_enabled() -> bool:
 
 
 # The sibling escape hatch one layer down: REPRO_FORCE_CLOSED_FORM=0
-# keeps the cohort engine but event-steps every thread individually
-# (no class compression, convoy-drain replication or closed-form
-# regions).  Defined next to the engine; re-exported here so harness
+# keeps the cohort engine but event-steps every thread individually in
+# its interpreted loops (no class compression, convoy-drain
+# replication, closed-form regions or compiled work-queue loop).  Defined next to the engine; re-exported here so harness
 # code can treat both knobs as one surface.
 from repro.des.batch import (  # noqa: E402  (re-export)
     FORCE_CLOSED_FORM_ENV,

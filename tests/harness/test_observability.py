@@ -13,10 +13,13 @@ import os
 import threading
 
 from repro.harness import store
+from repro.harness import parallel
 from repro.harness.parallel import (
+    ExperimentProfile,
     metrics_rollup,
     metrics_to_dict,
     render_metrics,
+    render_profile,
     run_experiments,
 )
 from repro.harness.store import (
@@ -47,6 +50,20 @@ def test_epoch_covers_every_outcome_determining_module():
                       "mta/cohort.py", "mta/machine.py",
                       "obs/metrics.py", "workload/cohort.py"):
         assert must_cover in files, must_cover
+
+
+def test_epoch_covers_the_compiled_queue_kernel(tmp_path):
+    files = {os.path.relpath(p, repro_root()).replace(os.sep, "/")
+             for p in _model_source_files(repro_root())}
+    assert "des/queue_kernel.c" in files
+    # editing a C source moves the epoch, so stale results are orphaned
+    root = tmp_path / "repro"
+    (root / "des").mkdir(parents=True)
+    kernel = root / "des" / "queue_kernel.c"
+    kernel.write_text("int x = 1;\n")
+    before = _compute_epoch(str(root), "")
+    kernel.write_text("int x = 2;\n")
+    assert _compute_epoch(str(root), "") != before
 
 
 def test_patching_a_covered_file_changes_the_epoch(tmp_path):
@@ -202,6 +219,35 @@ def test_profiles_carry_per_run_metrics_serial(monkeypatch, tmp_path):
     assert payload["experiments"][0]["experiment_id"] == "table2"
     table = render_metrics(profiles)
     assert "table2" in table and "sim-sec" in table
+
+
+def test_profile_table_reports_cpu_seconds_and_true_wall():
+    # under -j the per-experiment times are summed across workers, so
+    # the column is CPU-seconds and the elapsed wall is its own line
+    profiles = [ExperimentProfile("table2", 3.0, 1, 2),
+                ExperimentProfile("table5", 4.0, 0, 5)]
+    lines = render_profile(profiles, 4.5).splitlines()
+    assert "cpu (s)" in lines[0] and "wall" not in lines[0]
+    assert lines[-2].split() == ["total", "7.00", "1", "7"]
+    assert lines[-1].split() == ["end-to-end", "wall", "(s)", "4.50"]
+    assert "end-to-end" not in render_profile(profiles)
+
+
+def test_all_profile_prints_the_end_to_end_wall(monkeypatch, capsys):
+    import time
+
+    from repro.__main__ import main
+
+    def fake_run_experiments(**_kwargs):
+        time.sleep(0.05)
+        return {}, [ExperimentProfile("table2", 9.0, 0, 1)]
+
+    monkeypatch.setenv("REPRO_NO_RUNS", "1")
+    monkeypatch.setattr(parallel, "run_experiments", fake_run_experiments)
+    assert main(["all", "-j", "2", "--profile"]) == 0
+    last = capsys.readouterr().out.strip().splitlines()[-1].split()
+    assert last[:3] == ["end-to-end", "wall", "(s)"]
+    assert 0.05 <= float(last[3]) < 9.0
 
 
 def test_profiles_carry_per_run_metrics_parallel(monkeypatch, tmp_path):
