@@ -24,31 +24,31 @@ _JobSpec = Callable[[BenchmarkData], Job]
 
 
 def _th_seq(d: BenchmarkData) -> Job:
-    return d.threat_sequential_job()
+    return d.threat_sequential_job().build()
 
 
 def _te_seq(d: BenchmarkData) -> Job:
-    return d.terrain_sequential_job()
+    return d.terrain_sequential_job().build()
 
 
 def _th_fg(d: BenchmarkData) -> Job:
-    return d.threat_finegrained_job()
+    return d.threat_finegrained_job().build()
 
 
 def _te_fg(d: BenchmarkData) -> Job:
-    return d.terrain_finegrained_job()
+    return d.terrain_finegrained_job().build()
 
 
 def _chunked(n: int, kind: str = "os") -> _JobSpec:
-    return lambda d: d.threat_chunked_job(n, thread_kind=kind)
+    return lambda d: d.threat_chunked_job(n, thread_kind=kind).build()
 
 
 def _blocked(n: int) -> _JobSpec:
-    return lambda d: d.terrain_blocked_job(n)
+    return lambda d: d.terrain_blocked_job(n).build()
 
 
 def _taskbench(recipe: str) -> _JobSpec:
-    return lambda d: d.taskbench_job(recipe)
+    return lambda d: d.taskbench_job(recipe).build()
 
 
 def _taskbench_specs() -> tuple[_JobSpec, ...]:

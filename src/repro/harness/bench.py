@@ -40,32 +40,32 @@ def _rows() -> dict[str, Callable]:
     return {
         "exemplar16-threat16": lambda data, uc: (
             ConventionalMachine(exemplar(16), use_cohort=uc),
-            data.threat_chunked_job(16)),
+            data.threat_chunked_job(16).build()),
         "exemplar16-terrain-bl8": lambda data, uc: (
             ConventionalMachine(exemplar(16), use_cohort=uc),
-            data.terrain_blocked_job(8)),
+            data.terrain_blocked_job(8).build()),
         "mta1-threat256": lambda data, uc: (
             MtaMachine(mta(1), use_cohort=uc),
-            data.threat_chunked_job(256, thread_kind="hw")),
+            data.threat_chunked_job(256, thread_kind="hw").build()),
         "mta2-threat256": lambda data, uc: (
             MtaMachine(mta(2), use_cohort=uc),
-            data.threat_chunked_job(256, thread_kind="hw")),
+            data.threat_chunked_job(256, thread_kind="hw").build()),
         # lock-convoy-dominated: every fine-grained thread appends its
         # result under one lock, so the region is one long convoy
         "exemplar16-threatfg1000": lambda data, uc: (
             ConventionalMachine(exemplar(16), use_cohort=uc),
-            data.threat_finegrained_job()),
+            data.threat_finegrained_job().build()),
         # barrier-dominated: 1024 chunks over 128 hw streams, lock-free
         # lockstep phases joined only at the region barrier
         "mta1-threat1024": lambda data, uc: (
             MtaMachine(mta(1), use_cohort=uc),
-            data.threat_chunked_job(1024, thread_kind="hw")),
+            data.threat_chunked_job(1024, thread_kind="hw").build()),
         # work-queue-dominated: 16 workers pull threat items off a
         # shared queue (the terrain merge locks ride along), exercising
         # the closed-form queue solver rather than class compression
         "exemplar16-terrain-bl16": lambda data, uc: (
             ConventionalMachine(exemplar(16), use_cohort=uc),
-            data.terrain_blocked_job(16)),
+            data.terrain_blocked_job(16).build()),
     }
 
 

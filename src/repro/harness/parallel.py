@@ -15,10 +15,13 @@ simulation-cell granularity:
 1. **plan** (in the scheduling process) -- run every experiment
    against a :class:`_PlanningData` probe whose ``_simulate`` records
    each simulation *cell* (machine spec x job recipe x scales x seed
-   universe) instead of running it.  Planning doubles as warm-up: it
-   builds every kernel and job into the shared ``default_data``
-   memos, and the pool is forked *afterwards*, so workers inherit the
-   warm state copy-on-write instead of re-running kernels per process.
+   universe) instead of running it.  Planning builds no job: cells
+   name their jobs by recipe key.  The scheduling process then builds
+   the jobs of the cells it will submit (the cache misses) into the
+   shared ``default_data`` memos, and only then forks the pool, so
+   workers inherit the warm kernels and jobs copy-on-write instead of
+   re-running them per process.  A warm run submits no cell and builds
+   nothing.
 2. **cell** (workers) -- execute one deduplicated simulation cell
    (largest first, across all experiments) and publish its result
    through the content-addressed cache.  Cells already present in the
@@ -155,6 +158,9 @@ class ExperimentProfile:
     wall_seconds: float
     cache_hits: int
     cache_misses: int
+    #: jobs built on the experiment's behalf, charged like
+    #: ``cache_misses``
+    jobs_built: int = 0
     #: one record per simulation the experiment consulted
     #: (``BenchmarkData.metrics_log`` entries: kind/machine/job/
     #: seconds/stats) -- the raw material of ``repro all --metrics``
@@ -170,6 +176,22 @@ def _touch_sentinel(started_dir: Optional[str], task_id: str,
         with open(os.path.join(
                 started_dir, f"{task_id}.{attempt}"), "w"):
             pass
+
+
+def _profiled(experiment_id: str, data: BenchmarkData
+              ) -> tuple[ExperimentResult, ExperimentProfile]:
+    """Run one experiment in this process and account for it."""
+    n0 = len(data.metrics_log)
+    built0 = data.jobs_built()
+    t0 = time.perf_counter()
+    with store.cache_scope() as sc:
+        result = run_experiment(experiment_id, data)
+    wall = time.perf_counter() - t0
+    return result, ExperimentProfile(
+        experiment_id=experiment_id, wall_seconds=wall,
+        cache_hits=sc.hits, cache_misses=sc.misses,
+        jobs_built=data.jobs_built() - built0,
+        metrics=tuple(data.metrics_log[n0:]))
 
 
 def _run_one(experiment_id: str, threat_scale: float,
@@ -190,16 +212,8 @@ def _run_one(experiment_id: str, threat_scale: float,
     try:
         _touch_sentinel(started_dir, task_id or experiment_id, attempt)
         _maybe_crash(experiment_id, attempt)
-        data = default_data(threat_scale, terrain_scale)
-        n0 = len(data.metrics_log)
-        t0 = time.perf_counter()
-        with store.cache_scope() as sc:
-            result = run_experiment(experiment_id, data)
-        wall = time.perf_counter() - t0
-        return result, ExperimentProfile(
-            experiment_id=experiment_id, wall_seconds=wall,
-            cache_hits=sc.hits, cache_misses=sc.misses,
-            metrics=tuple(data.metrics_log[n0:]))
+        return _profiled(experiment_id,
+                         default_data(threat_scale, terrain_scale))
     except WorkerError:
         raise
     except BaseException:
@@ -214,19 +228,19 @@ def _run_one(experiment_id: str, threat_scale: float,
 class _PlanningData(BenchmarkData):
     """A :class:`BenchmarkData` whose ``_simulate`` records each cell.
 
-    Kernels, scenarios and jobs are built for real (they are cheap and
-    memoized); only the simulations -- the expensive part -- are
-    replaced by a placeholder.  Every recorded cell names a job
-    *recipe*, so any pool worker can rebuild the job and execute the
-    cell independently.  Experiment arithmetic downstream of the
-    placeholder timings is garbage and discarded; the replay phase
-    recomputes it over the warm cache, so an incomplete or failed plan
-    is merely less parallel, never wrong.
+    The simulations are replaced by a placeholder, and since a
+    simulation key names its job by recipe, planning runs no kernel and
+    builds no job.  Every recorded cell names a job *recipe*, so any
+    pool worker can rebuild the job and execute the cell independently.
+    Experiment arithmetic downstream of the placeholder timings is
+    garbage and discarded; the replay phase recomputes it over the warm
+    cache, so an incomplete or failed plan is merely less parallel,
+    never wrong.
 
     Given a ``donor`` (the process-wide ``default_data``), the probe
-    shares the donor's kernel/job memo dict outright: everything the
-    plan builds lands in the memos every later consumer reads, which
-    is what makes parent-side planning double as pool warm-up.
+    shares the donor's kernel/job memo dict outright, so a job that
+    anything later builds through the probe lands in the memos every
+    later consumer reads.
     """
 
     def __init__(self, threat_scale: float = 0.02,
@@ -241,10 +255,10 @@ class _PlanningData(BenchmarkData):
         #: planner siblings, deliberately outside the (shared) memo
         #: dict so they never collide with the donor's real siblings
         self._plan_siblings: dict[int, "_PlanningData"] = {}
-        #: (cache key, cell descriptor or None) per ``_simulate`` call;
-        #: shared with the seed-offset siblings so one plan call sees
-        #: every universe's cells
-        self.trace: list[tuple[str, Optional[dict]]] = []
+        #: (cache key, cell descriptor) per ``_simulate`` call; shared
+        #: with the seed-offset siblings so one plan call sees every
+        #: universe's cells
+        self.trace: list[tuple[str, dict]] = []
 
     def with_seed_offset(self, seed_offset: int) -> "_PlanningData":
         if seed_offset == self.seed_offset:
@@ -265,11 +279,8 @@ class _PlanningData(BenchmarkData):
         self.trace.append((key, self._cell(key, key_payload)))
         return 1.0  # placeholder: plans never produce user-visible rows
 
-    def _cell(self, key: str, key_payload: dict) -> Optional[dict]:
-        jobfp = key_payload.get("job", "")
-        if not (isinstance(jobfp, str) and jobfp.startswith("recipe:")):
-            return None  # inline-built job: not transportable
-        recipe = jobfp[len("recipe:"):]
+    def _cell(self, key: str, key_payload: dict) -> dict:
+        recipe = key_payload["job"][len("recipe:"):]
         return {
             "key": key,
             "kind": key_payload["kind"],
@@ -290,7 +301,9 @@ def _cell_weight(recipe: str, spec) -> int:
     Only the *ordering* of cell submissions depends on this, never a
     result, so a rough static estimate is enough.
     """
-    if recipe.endswith("-fg"):
+    if recipe.endswith("-fg-all"):
+        base = 5000
+    elif recipe.endswith("-fg"):
         base = 1000
     elif recipe.startswith("tb-"):
         base = taskbench.recipe_weight(recipe)  # total grain units
@@ -319,7 +332,7 @@ def _plan_one(experiment_id: str, planner: _PlanningData) -> dict:
         # the experiment for real, so a partial plan costs
         # parallelism, not correctness.
         pass
-    cells: dict[str, Optional[dict]] = {}
+    cells: dict[str, dict] = {}
     for key, cell in planner.trace:
         cells.setdefault(key, cell)
     return {"cells": cells, "wall": time.perf_counter() - t0}
@@ -339,10 +352,11 @@ def _run_cell(cell: dict, threat_scale: float, terrain_scale: float,
     try:
         _touch_sentinel(started_dir, task_id or unit, attempt)
         _maybe_crash(unit, attempt)
-        data = default_data(threat_scale, terrain_scale) \
-            .with_seed_offset(cell["seed_offset"])
-        job = data.job_from_recipe(cell["job_recipe"])
+        root = default_data(threat_scale, terrain_scale)
+        data = root.with_seed_offset(cell["seed_offset"])
+        job = data.recipe(cell["job_recipe"])
         n0 = len(data.metrics_log)
+        built0 = root.jobs_built()
         t0 = time.perf_counter()
         with store.cache_scope() as sc:
             if cell["kind"] == "conventional":
@@ -361,6 +375,7 @@ def _run_cell(cell: dict, threat_scale: float, terrain_scale: float,
                   if len(data.metrics_log) > n0 else None)
         return {"wall": time.perf_counter() - t0,
                 "hits": sc.hits, "misses": sc.misses,
+                "jobs_built": root.jobs_built() - built0,
                 "record": record}
     except WorkerError:
         raise
@@ -536,17 +551,10 @@ def _run_experiments_inner(
         results: dict[str, ExperimentResult] = {}
         profiles: list[ExperimentProfile] = []
         for eid in ids:
-            n0 = len(data.metrics_log)
-            t0 = time.perf_counter()
-            with store.cache_scope() as sc:
-                results[eid] = run_experiment(eid, data)
-            wall = time.perf_counter() - t0
-            profiles.append(ExperimentProfile(
-                experiment_id=eid, wall_seconds=wall,
-                cache_hits=sc.hits, cache_misses=sc.misses,
-                metrics=tuple(data.metrics_log[n0:])))
+            results[eid], profile = _profiled(eid, data)
+            profiles.append(profile)
             if cell_sink is not None:
-                cell_sink(eid, data.metrics_log[n0:])
+                cell_sink(eid, profile.metrics)
         return results, profiles
 
     # Cell-granular scheduling needs the persistent cache to transport
@@ -811,22 +819,25 @@ def _cell_run(
 ) -> dict[str, tuple[ExperimentResult, ExperimentProfile]]:
     """Cell-granular scheduling: plan -> deduped cells -> replay.
 
-    Planning happens up front in this process (warming the kernels and
-    jobs the forked workers then inherit).  The transportable cells of
-    all experiments are deduplicated against each other and against
-    the persistent cache, sorted largest first, and fanned over the
-    pool; each experiment's replay follows as soon as its last
-    outstanding cell lands.  Cell cost (wall and cache misses) is
-    charged to the first experiment that planned the cell.
+    Planning happens up front in this process.  The cells of all
+    experiments are deduplicated against each other and against the
+    persistent cache; this process builds the jobs of the remainder
+    (the kernels and jobs the forked workers then inherit), sorts them
+    largest first and fans them over the pool; each experiment's replay
+    follows as soon as its last outstanding cell lands.  Cell cost
+    (wall, cache misses and jobs built) is charged to the first
+    experiment that planned the cell.
     """
     cache = store.active_cache()
+    donor = default_data(threat_scale, terrain_scale)
     planner = _PlanningData(
         threat_scale=threat_scale, terrain_scale=terrain_scale,
-        donor=default_data(threat_scale, terrain_scale))
+        donor=donor)
 
     plan_wall = dict.fromkeys(ids, 0.0)
     charged_wall = dict.fromkeys(ids, 0.0)
     charged_miss = dict.fromkeys(ids, 0)
+    charged_jobs = dict.fromkeys(ids, 0)
     key_of_task: dict[str, str] = {}
     owner: dict[str, str] = {}          # cell key -> charged eid
     waiting: dict[str, list[str]] = {}  # cell key -> waiting eids
@@ -839,8 +850,6 @@ def _cell_run(
         plan = _plan_one(eid, planner)
         plan_wall[eid] = plan["wall"]
         for key, cell in plan["cells"].items():
-            if cell is None:
-                continue  # inline-built job: replay computes it
             if key not in seen:
                 seen[key] = cache.get(key) is None
                 if seen[key]:
@@ -854,6 +863,14 @@ def _cell_run(
     def replay_task(eid: str) -> _Task:
         replayed.add(eid)
         return _Task("run:" + eid, eid, _run_one, eid)
+
+    # warm-up: build the jobs of the cells about to be submitted before
+    # the pool forks, so no worker re-runs a kernel or rebuilds a job
+    for cell in pending_cells:
+        built0 = donor.jobs_built()
+        donor.with_seed_offset(cell["seed_offset"]) \
+            .recipe(cell["job_recipe"]).build()
+        charged_jobs[owner[cell["key"]]] += donor.jobs_built() - built0
 
     # largest first: the biggest cells bound the tail of the run
     pending_cells.sort(key=lambda c: c["weight"], reverse=True)
@@ -877,6 +894,7 @@ def _cell_run(
         eid = owner[key]
         charged_wall[eid] += value["wall"]
         charged_miss[eid] += value["misses"]
+        charged_jobs[eid] += value["jobs_built"]
         if cell_sink is not None and value.get("record") is not None:
             cell_sink(eid, (value["record"],))
         new: list[_Task] = []
@@ -898,6 +916,7 @@ def _cell_run(
                           + rp.wall_seconds),
             cache_hits=rp.cache_hits,
             cache_misses=charged_miss[eid] + rp.cache_misses,
+            jobs_built=charged_jobs[eid] + rp.jobs_built,
             metrics=rp.metrics))
     return out
 

@@ -9,7 +9,7 @@ makes each run a durable artifact instead:
     Written when the run starts (status ``running``) and atomically
     finalized when it ends: command, flags, git rev, model epoch,
     machine/workload ids, seed universes, engine-choice stats rollup,
-    wall-clock duration, exit status.
+    jobs built, wall-clock duration, exit status.
 ``cells.jsonl``
     One line per distinct simulation cell, streamed as results land
     (the parallel scheduler's ``cell_sink`` hook feeds this), so even
@@ -172,6 +172,9 @@ class RunWriter:
         # never retain the records themselves
         self._engine_stats = new_rollup()
         self._report_summary: Optional[dict] = None
+        #: jobs the run built, summed over the experiment profiles;
+        #: None for runs without profiles
+        self._jobs_built: Optional[int] = None
 
         stamp = time.strftime("%Y%m%dT%H%M%S", time.gmtime(self.started))
         while True:
@@ -210,6 +213,7 @@ class RunWriter:
             "seed_offsets": sorted(self._seed_offsets),
             "n_cells": self._n_cells,
             "engine_stats": dict(self._engine_stats),
+            "jobs_built": self._jobs_built,
         }
         if self._report_summary is not None:
             manifest["report"] = self._report_summary
@@ -311,9 +315,11 @@ class RunWriter:
                  "wall_seconds": round(p.wall_seconds, 4),
                  "cache_hits": p.cache_hits,
                  "cache_misses": p.cache_misses,
+                 "jobs_built": p.jobs_built,
                  "rollup": rollup_records(p.metrics)}
                 for p in profiles
             ]
+            self._jobs_built = sum(p.jobs_built for p in profiles)
         if payload is not None:
             report["payload"] = payload
         atomic_write_json(

@@ -6,6 +6,11 @@ scenarios and execute the real benchmark kernels (once, cached here);
 the jobs on the platform models.  ``BenchmarkData`` owns step 1 and
 memoizes everything downstream of it.
 
+Steps 1 and 2 are lazy.  The job methods hand out a
+:class:`JobRecipe` -- the recipe key plus a memoized builder -- and
+the simulation key names the job by that key alone, so a simulation
+already in the persistent cache never runs a kernel or builds a job.
+
 The kernels run at a reduced scale by default (the workload extractors
 extrapolate exactly -- see the ``workload`` modules); pass larger
 scales for higher-fidelity structural statistics at more kernel time.
@@ -15,6 +20,7 @@ from __future__ import annotations
 
 import dataclasses
 from functools import lru_cache
+from typing import Callable
 
 from repro import taskbench
 from repro.c3i import terrain as TE
@@ -30,6 +36,21 @@ from repro.mta.spec import MtaSpec
 from repro.workload.task import Job
 
 
+@dataclasses.dataclass(frozen=True, eq=False)
+class JobRecipe:
+    """A recipe-named job: its key and a memoized builder.
+
+    A recipe-built job is a deterministic function of (recipe key,
+    scales, seed offset, model code); everything but the key is
+    already folded into every simulation key, so the key alone
+    identifies the job content.  ``build()`` returns the :class:`Job`,
+    running kernels and building it on the first call only.
+    """
+
+    key: str
+    build: Callable[[], Job]
+
+
 class BenchmarkData:
     """Scenarios + instrumented kernel runs for both benchmarks."""
 
@@ -39,9 +60,7 @@ class BenchmarkData:
         self.terrain_scale = terrain_scale
         self.seed_offset = seed_offset
         self._cache: dict[str, object] = {}
-        #: id(job) -> (job, fingerprint); the job reference keeps the
-        #: id stable, the identity check guards against id reuse.
-        self._job_fps: dict[int, tuple[Job, str]] = {}
+        self._recipes: dict[str, JobRecipe] = {}
         #: one entry per _simulate call (including memo/cache hits):
         #: {"kind", "machine", "job", "seconds", "stats"} -- the raw
         #: material of ``repro all --metrics``
@@ -72,20 +91,25 @@ class BenchmarkData:
             self._cache[key] = fn()
         return self._cache[key]
 
-    def _job(self, key: str, fn) -> Job:
-        """Memoize a named job recipe and register its fingerprint.
+    def _job(self, key: str, fn: Callable[[], Job]) -> JobRecipe:
+        """The memoized recipe handle for ``key``; ``fn`` builds the
+        job, at most once, when the handle's ``build`` is called."""
+        recipe = self._recipes.get(key)
+        if recipe is None:
+            recipe = self._recipes[key] = JobRecipe(
+                key, lambda: self._memo(key, fn))
+        return recipe
 
-        A recipe-built job is a deterministic function of (recipe
-        name, scales, seed offset, model code); everything but the
-        name is already folded into every simulation key, so the name
-        alone identifies the job content and the structural
-        fingerprint walk over the full step tree is skipped.
-        """
-        job = self._memo(key, fn)
-        hit = self._job_fps.get(id(job))
-        if hit is None or hit[0] is not job:
-            self._job_fps[id(job)] = (job, "recipe:" + key)
-        return job
+    def jobs_built(self) -> int:
+        """How many jobs this data set and its seed siblings have built
+        (each build leaves exactly one memo entry)."""
+        n = 0
+        for value in self._cache.values():
+            if isinstance(value, Job):
+                n += 1
+            elif isinstance(value, BenchmarkData):
+                n += value.jobs_built()
+        return n
 
     @property
     def threat_scenarios(self):
@@ -120,57 +144,68 @@ class BenchmarkData:
     # ------------------------------------------------------------------
     # jobs (step 2)
     # ------------------------------------------------------------------
-    def threat_sequential_job(self) -> Job:
+    def threat_sequential_job(self) -> JobRecipe:
         return self._job("th-job-seq", lambda: TH.sequential_benchmark_job(
             self.threat_scenarios, self.threat_sequential))
 
     def threat_chunked_job(self, n_chunks: int,
-                           thread_kind: str = "os") -> Job:
+                           thread_kind: str = "os") -> JobRecipe:
         return self._job(
             f"th-job-ch-{n_chunks}-{thread_kind}",
             lambda: TH.chunked_benchmark_job(
                 self.threat_scenarios, self.threat_sequential, n_chunks,
                 thread_kind=thread_kind))
 
-    def threat_finegrained_job(self) -> Job:
+    def threat_finegrained_job(self, all_threads: bool = False
+                               ) -> JobRecipe:
+        """The sync-variable variant, coalesced to at most 250 simulated
+        threads; ``all_threads`` gives one thread per threat, Section
+        5's alternative as the paper ran it."""
+        if all_threads:
+            return self._job(
+                "th-job-fg-all", lambda: TH.finegrained_benchmark_job(
+                    self.threat_scenarios, self.threat_sequential,
+                    max_threads=None))
         return self._job("th-job-fg", lambda: TH.finegrained_benchmark_job(
             self.threat_scenarios, self.threat_sequential))
 
-    def terrain_sequential_job(self) -> Job:
+    def terrain_sequential_job(self) -> JobRecipe:
         return self._job("te-job-seq", lambda: TE.sequential_benchmark_job(
             self.terrain_scenarios, self.terrain_sequential))
 
     def terrain_blocked_job(self, n_threads: int,
-                            thread_kind: str = "os") -> Job:
+                            thread_kind: str = "os") -> JobRecipe:
         return self._job(
             f"te-job-bl-{n_threads}-{thread_kind}",
             lambda: TE.blocked_benchmark_job(
                 self.terrain_scenarios, self.terrain_blocked(n_threads),
                 thread_kind=thread_kind))
 
-    def terrain_finegrained_job(self) -> Job:
+    def terrain_finegrained_job(self) -> JobRecipe:
         return self._job("te-job-fg", lambda: TE.finegrained_benchmark_job(
             self.terrain_scenarios, self.terrain_finegrained))
 
-    def taskbench_job(self, recipe: str) -> Job:
+    def taskbench_job(self, recipe: str) -> JobRecipe:
         """A generated task-graph job; the recipe *is* the parameter
         vector (``tb-<topo>-w<W>-d<D>-g<G>-s<S>-<kind>``), so the key
         round-trips through :meth:`job_from_recipe` like every other
         recipe."""
         return self._job(recipe, lambda: taskbench.job_from_recipe(recipe))
 
-    def job_from_recipe(self, key: str) -> Job:
-        """Rebuild a recipe-named job from its key.
+    def recipe(self, key: str) -> JobRecipe:
+        """The handle a recipe key names, without building the job.
 
-        The inverse of the ``_job`` registry: any job whose fingerprint
-        is ``recipe:<key>`` can be reconstructed in a different process
-        from the key alone, which is what lets the parallel harness
-        ship individual simulation cells to pool workers.
+        The inverse of the ``_job`` registry: any job whose simulation
+        key names ``recipe:<key>`` can be reconstructed in a different
+        process from the key alone, which is what lets the parallel
+        harness ship individual simulation cells to pool workers.
         """
         if key == "th-job-seq":
             return self.threat_sequential_job()
         if key == "th-job-fg":
             return self.threat_finegrained_job()
+        if key == "th-job-fg-all":
+            return self.threat_finegrained_job(all_threads=True)
         if key == "te-job-seq":
             return self.terrain_sequential_job()
         if key == "te-job-fg":
@@ -186,6 +221,10 @@ class BenchmarkData:
             return self.taskbench_job(key)
         raise KeyError(f"unknown job recipe {key!r}")
 
+    def job_from_recipe(self, key: str) -> Job:
+        """Build (once) and return the job a recipe key names."""
+        return self.recipe(key).build()
+
     # ------------------------------------------------------------------
     # simulation (step 3)
     # ------------------------------------------------------------------
@@ -194,15 +233,8 @@ class BenchmarkData:
     # (repro.harness.store).  The key fingerprints everything that
     # determines the outcome, so ablation specs made with
     # dataclasses.replace get distinct entries even though they share a
-    # name with the catalog spec.
-
-    def _job_fingerprint(self, job: Job) -> str:
-        hit = self._job_fps.get(id(job))
-        if hit is not None and hit[0] is job:
-            return hit[1]
-        fp = store.fingerprint(job)
-        self._job_fps[id(job)] = (job, fp)
-        return fp
+    # name with the catalog spec.  The job enters the key as its recipe
+    # name, and ``run`` builds it only on a miss.
 
     def _sim_key(self, key_payload: dict) -> str:
         """The persistent-cache key of one simulation cell."""
@@ -247,41 +279,41 @@ class BenchmarkData:
         self.metrics_log.append(record)
         return record["seconds"]
 
-    def run_conventional(self, spec: MachineSpec, job: Job, *,
+    def run_conventional(self, spec: MachineSpec, job: JobRecipe, *,
                          slices_per_phase: int = 16,
                          exploit_fine_grained: bool = False) -> float:
         return self._simulate(
             {"kind": "conventional", "spec": spec,
              "slices_per_phase": slices_per_phase,
              "exploit_fine_grained": exploit_fine_grained,
-             "job": self._job_fingerprint(job)},
+             "job": "recipe:" + job.key},
             lambda: ConventionalMachine(
                 spec, slices_per_phase=slices_per_phase,
-                exploit_fine_grained=exploit_fine_grained).run(job))
+                exploit_fine_grained=exploit_fine_grained).run(job.build()))
 
-    def run_mta_spec(self, spec: MtaSpec, job: Job, *,
+    def run_mta_spec(self, spec: MtaSpec, job: JobRecipe, *,
                      slices_per_phase: int = 8) -> float:
         return self._simulate(
             {"kind": "mta", "spec": spec,
              "slices_per_phase": slices_per_phase,
-             "job": self._job_fingerprint(job)},
+             "job": "recipe:" + job.key},
             lambda: MtaMachine(
-                spec, slices_per_phase=slices_per_phase).run(job))
+                spec, slices_per_phase=slices_per_phase).run(job.build()))
 
-    def run_mta(self, n_processors: int, job: Job) -> float:
+    def run_mta(self, n_processors: int, job: JobRecipe) -> float:
         return self.run_mta_spec(mta(n_processors), job)
 
     # convenience shorthands used by the registry -----------------------
-    def alpha(self, job: Job) -> float:
+    def alpha(self, job: JobRecipe) -> float:
         return self.run_conventional(ALPHASTATION_500, job)
 
-    def ppro(self, n: int, job: Job) -> float:
+    def ppro(self, n: int, job: JobRecipe) -> float:
         return self.run_conventional(ppro(n), job)
 
-    def exemplar(self, n: int, job: Job) -> float:
+    def exemplar(self, n: int, job: JobRecipe) -> float:
         return self.run_conventional(exemplar(n), job)
 
-    def cmt(self, n: int, job: Job) -> float:
+    def cmt(self, n: int, job: JobRecipe) -> float:
         return self.run_conventional(cmt_spec(n), job)
 
 

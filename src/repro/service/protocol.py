@@ -76,7 +76,8 @@ MACHINE_FAMILIES = {
 }
 
 #: exact job-recipe names (parameterized forms documented below)
-FIXED_RECIPES = ("th-job-seq", "th-job-fg", "te-job-seq", "te-job-fg")
+FIXED_RECIPES = ("th-job-seq", "th-job-fg", "th-job-fg-all", "te-job-seq",
+                 "te-job-fg")
 
 #: simulated-thread kinds accepted in parameterized recipes
 THREAD_KINDS = ("os", "sw")

@@ -43,7 +43,7 @@ def test_loop_independent_arrays_from_ir():
 
 
 def test_real_chunked_job_clean_only_because_of_facts(data):
-    job = data.threat_chunked_job(8)
+    job = data.threat_chunked_job(8).build()
     report = analyze_job(job, "des")
     assert report.clean
     # C(8,2) chunk pairs x 2 opaque arrays x 5 scenarios
@@ -51,7 +51,7 @@ def test_real_chunked_job_clean_only_because_of_facts(data):
 
 
 def test_real_blocked_job_clean_via_block_locks(data):
-    report = analyze_job(data.terrain_blocked_job(4), "des")
+    report = analyze_job(data.terrain_blocked_job(4).build(), "des")
     assert report.clean
     assert report.suppressed == 0  # locks, not facts, clear these
 

@@ -22,6 +22,11 @@ def test_jobs_are_memoized(data):
     assert data.threat_chunked_job(16) is not data.threat_chunked_job(32)
     assert (data.threat_chunked_job(16, thread_kind="hw")
             is not data.threat_chunked_job(16, thread_kind="os"))
+    job = data.threat_chunked_job(16).build()
+    assert job is data.threat_chunked_job(16).build()
+    assert job is not data.threat_chunked_job(32).build()
+    assert (data.threat_chunked_job(16, thread_kind="hw").build()
+            is not job)
 
 
 def test_runs_are_memoized(data):

@@ -45,12 +45,19 @@ def test_parse_machine_rejects(bad):
 # ----------------------------------------------------------------------
 
 @pytest.mark.parametrize("good", [
-    "th-job-seq", "th-job-fg", "te-job-seq", "te-job-fg",
+    "th-job-seq", "th-job-fg", "th-job-fg-all", "te-job-seq", "te-job-fg",
     "th-job-ch-4-os", "th-job-ch-128-sw", "te-job-bl-1-os",
     "te-job-bl-16-sw", "tb-stencil-w8-d4-g1-s0-hw",
     "tb-mesh-w64-d6-g2-s3-os", "tb-fanout-w4-d2-g1-s0-sw"])
 def test_validate_recipe_accepts(good):
     assert protocol.validate_recipe(good) == good
+
+
+def test_every_fixed_recipe_builds_through_job_from_recipe():
+    data = BenchmarkData(**SCALES)
+    for key in protocol.FIXED_RECIPES:
+        assert protocol.validate_recipe(key) == key
+        assert data.job_from_recipe(key).steps
 
 
 @pytest.mark.parametrize("bad", [
@@ -140,8 +147,6 @@ def test_cell_keys_match_planner_cells():
     plan = _plan_one("table3", planner)
     checked = 0
     for key, cell in plan["cells"].items():
-        if cell is None:
-            continue
         spec = cell["spec"]
         if hasattr(spec, "n_processors"):
             machine = f"mta:{spec.n_processors}"
